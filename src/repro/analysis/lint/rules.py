@@ -741,6 +741,9 @@ GUARDED_FIELD_MAP: dict[str, tuple[GuardedField, ...]] = {
             ("entry.lock", "self._locks_for(run_kwargs, entry)"),
         ),
     ),
+    "service/server.py": (
+        GuardedField("request_count", ("self._request_lock",)),
+    ),
     "poolexec/segments.py": (
         GuardedField("_LIVE", ("_LOCK",), kind="global"),
         GuardedField("_BY_TOKEN", ("_LOCK",), kind="global"),

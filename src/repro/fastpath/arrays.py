@@ -131,7 +131,7 @@ class CanonicalArrays:
 
     def edge_list(self) -> list[tuple[int, int]]:
         """The canonical edges as the package-wide list-of-tuples form."""
-        return [tuple(edge) for edge in self.edges.tolist()]
+        return list(zip(self.edges[:, 0].tolist(), self.edges[:, 1].tolist()))
 
 
 def canonicalize_edge_array(

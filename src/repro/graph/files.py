@@ -15,15 +15,7 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.exceptions import GraphFormatError
-from repro.graph.graph import Graph
-
-
-def _parse_label(token: str):
-    """Convert an edge-list token to ``int`` when possible, else keep the string."""
-    try:
-        return int(token)
-    except ValueError:
-        return token
+from repro.graph.graph import Graph, Vertex
 
 
 def read_edge_list(
@@ -54,6 +46,8 @@ def read_edge_list(
     if extra_columns not in ("ignore", "error"):
         raise ValueError(f"extra_columns must be 'ignore' or 'error', got {extra_columns!r}")
     graph = Graph()
+    # Fill the adjacency directly: same insertion order as ``add_edge(u, v)``.
+    setdefault = graph._adjacency.setdefault
     path = Path(path)
     with path.open("r", encoding="utf-8") as handle:
         for line_number, raw_line in enumerate(handle, start=1):
@@ -70,10 +64,20 @@ def read_edge_list(
                     f"{path}:{line_number}: expected exactly two vertex labels, got "
                     f"{line!r} (pass extra_columns='ignore' to drop trailing columns)"
                 )
-            u, v = _parse_label(tokens[0]), _parse_label(tokens[1])
+            u: Vertex = tokens[0]
+            v: Vertex = tokens[1]
+            try:
+                u = int(u)
+            except ValueError:
+                pass
+            try:
+                v = int(v)
+            except ValueError:
+                pass
             if u == v:
                 raise GraphFormatError(f"{path}:{line_number}: self-loop on {u!r}")
-            graph.add_edge(u, v)
+            setdefault(u, set()).add(v)
+            setdefault(v, set()).add(u)
     return graph
 
 

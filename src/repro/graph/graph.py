@@ -13,6 +13,7 @@ which turns the ordering into plain integer comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Hashable, Iterable, Iterator
 
 from repro.exceptions import GraphFormatError
@@ -101,35 +102,39 @@ class Graph:
         return set(self._adjacency.get(vertex, ()))
 
     def edges(self) -> Iterator[Edge]:
-        """Iterate over edges, each reported once with endpoints in label order.
+        """Iterate over edges, each reported once, at its first-visited endpoint.
 
-        Label order is only used for deduplication; the canonical order used
-        by the algorithms is the *degree* order provided by
-        :meth:`degree_order`.
+        Vertices are visited in insertion order; ``(u, v)`` is yielded unless
+        ``v`` was visited before ``u`` (which already reported the edge).
+        The canonical order used by the algorithms is the *degree* order
+        provided by :meth:`degree_order`.
         """
-        seen: set[frozenset[Vertex]] = set()
+        finished: set[Vertex] = set()
         for u, neighbours in self._adjacency.items():
             for v in neighbours:
-                key = frozenset((u, v))
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield (u, v)
+                if v not in finished:
+                    yield (u, v)
+            finished.add(u)
 
     # ------------------------------------------------------------------
     # canonical representation
     # ------------------------------------------------------------------
     def degree_order(self) -> "DegreeOrder":
-        """Compute the canonical degree ordering of this graph."""
-        ranked = sorted(self._adjacency, key=lambda v: (len(self._adjacency[v]), repr(v), str(v)))
+        """Compute the canonical degree ordering of this graph.
+
+        Vertices are ranked by ``(degree, repr, str)``.  Each vertex, in rank
+        order, then contributes its higher-ranked neighbours sorted by rank,
+        so the concatenation is already the lexicographically sorted list
+        of ``(u, v)`` with ``u < v``.
+        """
+        adjacency = self._adjacency
+        ranked = sorted(adjacency, key=lambda v: (len(adjacency[v]), repr(v), str(v)))
         rank_of = {vertex: rank for rank, vertex in enumerate(ranked)}
         edges: list[tuple[int, int]] = []
-        for u, v in self.edges():
-            ru, rv = rank_of[u], rank_of[v]
-            if ru > rv:
-                ru, rv = rv, ru
-            edges.append((ru, rv))
-        edges.sort()
+        for ru, u in enumerate(ranked):
+            higher = [rv for rv in map(rank_of.__getitem__, adjacency[u]) if rv > ru]
+            higher.sort()
+            edges.extend(zip(repeat(ru), higher))
         return DegreeOrder(vertex_of=tuple(ranked), rank_of=rank_of, edges=edges)
 
     # ------------------------------------------------------------------

@@ -114,7 +114,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _dispatch(self, method: str) -> None:
-        self.service.request_count += 1
+        self.service.count_request()
         url = urlsplit(self.path)
         query = {key: values[-1] for key, values in parse_qs(url.query).items()}
         try:
@@ -168,7 +168,9 @@ class TriangleService:
     ) -> None:
         self.manager = JobManager(store=store, pool=pool, max_workers=max_workers)
         self.verbose = verbose
+        # Handler threads bump the counter concurrently: guarded by ``_request_lock``.
         self.request_count = 0
+        self._request_lock = threading.Lock()
         self._closed = False
         self._serve_thread: threading.Thread | None = None
 
@@ -234,16 +236,23 @@ class TriangleService:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
+    def count_request(self) -> None:
+        """Count one HTTP request (called from every handler thread)."""
+        with self._request_lock:
+            self.request_count += 1
+
     # -- endpoints ------------------------------------------------------
     def handle_health(self, request: _Handler, query: dict[str, str]) -> None:
         request._send_json({"status": "ok"})
 
     def handle_stats(self, request: _Handler, query: dict[str, str]) -> None:
+        with self._request_lock:
+            requests = self.request_count
         request._send_json(
             {
                 "manager": self.manager.stats(),
                 "segments": segment_stats(),
-                "requests": self.request_count,
+                "requests": requests,
             }
         )
 

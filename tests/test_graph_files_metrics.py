@@ -58,8 +58,9 @@ class TestEdgeListFiles:
     def test_self_loop_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "loop.txt"
         path.write_text("1 2\n3 3\n")
-        with pytest.raises(GraphFormatError, match="2"):
+        with pytest.raises(GraphFormatError) as caught:
             read_edge_list(path)
+        assert str(caught.value) == f"{path}:2: self-loop on 3"
 
     def test_extra_columns_ignored(self, tmp_path):
         # SNAP exports append weights/timestamps; the default keeps just the
@@ -105,6 +106,62 @@ class TestEdgeListFiles:
         lines = path.read_text().splitlines()
         assert lines[0] == "# hello"
         assert lines[1:] == sorted(lines[1:])
+
+
+class TestEdgeListSemantics:
+    def test_indented_comments_are_skipped(self, tmp_path):
+        path = tmp_path / "graph.txt"
+        path.write_text("   # indented comment\n\t# tabbed\n1 2\n  2 3  \n")
+        graph = read_edge_list(path)
+        assert list(graph.edges()) == [(1, 2), (2, 3)]
+
+    def test_blank_and_crlf_lines(self, tmp_path):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(b"1 2\r\n\r\n   \r\na b\r\n")
+        graph = read_edge_list(path)
+        assert graph.has_edge(1, 2) and graph.has_edge("a", "b")
+        assert graph.num_edges == 2
+
+    def test_extra_columns_error_counts_skipped_lines(self, tmp_path):
+        path = tmp_path / "weighted.txt"
+        path.write_text("# header\n\n1 2\n2 3 0.5\n")
+        assert read_edge_list(path).num_edges == 2
+        with pytest.raises(GraphFormatError, match=r"weighted\.txt:4: expected exactly two"):
+            read_edge_list(path, extra_columns="error")
+
+    def test_int_looking_and_string_labels(self, tmp_path):
+        path = tmp_path / "graph.txt"
+        path.write_text("007 a1\n-3 +4\n")
+        graph = read_edge_list(path)
+        assert list(graph.vertices()) == [7, "a1", -3, 4]
+        assert [type(label) for label in graph.vertices()] == [int, str, int, int]
+
+    @pytest.mark.parametrize("labels", ["ints", "strings", "mixed"])
+    def test_file_and_pair_ingest_agree(self, tmp_path, labels):
+        base = erdos_renyi_gnm(30, 90, seed=7)
+        names = {
+            "ints": lambda x: x,
+            "strings": lambda x: f"v{x}",
+            "mixed": lambda x: x if x % 2 else f"v{x}",
+        }[labels]
+        pairs = [(names(u), names(v)) for u, v in base.edges()]
+        # Duplicates in both orientations must merge the same way too.
+        pairs += [(v, u) for u, v in pairs[::3]]
+        path = tmp_path / "graph.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in pairs))
+        loaded = read_edge_list(path)
+        built = Graph(edges=pairs)
+        assert list(loaded.vertices()) == list(built.vertices())
+        assert list(loaded.edges()) == list(built.edges())
+        assert loaded.degree_order() == built.degree_order()
+
+    def test_write_then_read_round_trip(self, tmp_path):
+        graph = Graph(edges=[(1, "a"), ("a", "b"), (2, 1), ("b", 2), (3, "c")])
+        path = tmp_path / "graph.txt"
+        write_edge_list(graph, path, header=["round trip"])
+        loaded = read_edge_list(path)
+        assert {frozenset(e) for e in loaded.edges()} == {frozenset(e) for e in graph.edges()}
+        assert loaded.degree_order() == graph.degree_order()
 
 
 class TestMetrics:

@@ -1,9 +1,11 @@
 """Tests for the graph representation and degree ordering (repro.graph.graph)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import GraphFormatError
-from repro.graph.graph import Graph
+from repro.graph.graph import DegreeOrder, Graph
 from repro.graph.validation import check_canonical_edges
 
 
@@ -103,3 +105,98 @@ class TestDegreeOrder:
         graph = Graph(edges=[(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)])
         order = graph.degree_order()
         assert count_triangles_in_memory(order.edges) == 2
+
+
+# ----------------------------------------------------------------------
+# equivalence with the original per-edge implementations
+# ----------------------------------------------------------------------
+def reference_edges(graph: Graph):
+    """The original ``Graph.edges``: dedup through one frozenset per edge."""
+    seen = set()
+    for u, neighbours in graph._adjacency.items():
+        for v in neighbours:
+            key = frozenset((u, v))
+            if key in seen:
+                continue
+            seen.add(key)
+            yield (u, v)
+
+
+def reference_degree_order(graph: Graph) -> DegreeOrder:
+    """The original ``Graph.degree_order``: orient every edge, then one global sort."""
+    adjacency = graph._adjacency
+    ranked = sorted(adjacency, key=lambda v: (len(adjacency[v]), repr(v), str(v)))
+    rank_of = {vertex: rank for rank, vertex in enumerate(ranked)}
+    edges = []
+    for u, v in reference_edges(graph):
+        ru, rv = rank_of[u], rank_of[v]
+        if ru > rv:
+            ru, rv = rv, ru
+        edges.append((ru, rv))
+    edges.sort()
+    return DegreeOrder(vertex_of=tuple(ranked), rank_of=rank_of, edges=edges)
+
+
+LABELS = st.one_of(
+    st.integers(-3, 12),
+    st.text(alphabet="ab01", min_size=1, max_size=2),
+    st.tuples(st.integers(0, 2), st.sampled_from(["x", "y"])),
+)
+# Interleaved vertex and edge insertions: isolated vertices land anywhere in
+# the adjacency's insertion order, and edges repeat in both orientations.
+OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("vertex"), LABELS),
+        st.tuples(st.just("edge"), st.tuples(LABELS, LABELS)),
+        st.tuples(st.just("both"), st.tuples(LABELS, LABELS)),
+    ),
+    max_size=60,
+)
+
+
+def build(operations) -> Graph:
+    graph = Graph()
+    for kind, payload in operations:
+        if kind == "vertex":
+            graph.add_vertex(payload)
+            continue
+        u, v = payload
+        if u == v:
+            continue
+        graph.add_edge(u, v)
+        if kind == "both":
+            graph.add_edge(v, u)
+    return graph
+
+
+class TestPerEdgeEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(OPERATIONS)
+    def test_edges_yield_the_reference_sequence(self, operations):
+        graph = build(operations)
+        assert list(graph.edges()) == list(reference_edges(graph))
+
+    @settings(max_examples=300, deadline=None)
+    @given(OPERATIONS)
+    def test_degree_order_equals_the_reference(self, operations):
+        graph = build(operations)
+        order = graph.degree_order()
+        assert order == reference_degree_order(graph)
+        check_canonical_edges(order.edges)
+
+    def test_repr_str_tie_break_is_kept(self):
+        # Equal degrees rank by repr: "'9'" < "10" < "9".
+        graph = Graph(vertices=[9, 10, "9"], edges=[("a", "b")])
+        assert graph.degree_order().vertex_of == ("9", 10, 9, "a", "b")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=120))
+    def test_canonical_arrays_edge_list_matches_row_tuples(self, pairs):
+        np = pytest.importorskip("numpy")
+        from repro.fastpath.arrays import canonicalize_edge_array
+
+        pairs = [(u, v) for u, v in pairs if u != v]
+        canonical = canonicalize_edge_array(np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        edge_list = canonical.edge_list()
+        assert edge_list == [tuple(row) for row in canonical.edges.tolist()]
+        assert all(type(label) is int for edge in edge_list for label in edge)

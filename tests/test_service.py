@@ -425,6 +425,28 @@ class TestConcurrency:
         assert stats["jobs_executed"] == executed  # every repeat was a cache hit
         assert stats["cache_hits_memo"] >= 40
 
+    def test_request_counter_counts_every_concurrent_request(self, client):
+        before = client.stats()["requests"]  # counts this stats request itself
+        threads_n, per_thread = 8, 16
+
+        def hammer() -> None:
+            local = ServiceClient(client.base_url, timeout=30.0)
+            for _ in range(per_thread):
+                local.health()
+
+        threads = [threading.Thread(target=hammer) for _ in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often so a lost update would show
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert client.stats()["requests"] == before + threads_n * per_thread + 1
+
     def test_concurrent_identical_submissions_collapse(self, service):
         manager = service.manager
         entry, _ = manager.register_graph({"workload": WORKLOAD})

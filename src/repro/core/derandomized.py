@@ -26,16 +26,20 @@ Faithfulness notes
   EXPERIMENTS.md, experiment EXP5).
 * The paper evaluates all candidates in a single scan keeping ``O(1)``
   counters per candidate.  We also use a single charged scan of the edge
-  list per level, but keep per-vertex split counters in simulator RAM while
-  doing so (they are not charged as I/O).  The measured I/O complexity --
-  the quantity the theorems are about -- is unaffected; only the internal
-  bookkeeping is simpler than the paper's.
+  list per level, but keep the scanned endpoints and, per candidate,
+  ``collections.Counter`` objects over integer class-pair and vertex keys
+  in simulator RAM (they are not charged as I/O).  The measured I/O
+  complexity -- the quantity the theorems are about -- is unaffected; only
+  the internal bookkeeping is simpler than the paper's.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import add, itemgetter, mul
+from typing import Callable, Sequence
 
 from repro.analysis.bounds import colour_count, high_degree_threshold
 from repro.core.cache_aware import (
@@ -83,24 +87,56 @@ def _round_up_to_power_of_two(value: int) -> int:
     return 1 << (value - 1).bit_length()
 
 
-def _candidate_bit_tables(family: SmallBiasFamily, num_vertices: int) -> list[list[int]]:
+def _candidate_bit_tables(family: SmallBiasFamily, num_vertices: int) -> list[bytes]:
     """Precompute, for every family member, its bit for every vertex id.
 
     The AGHP bit for vertex ``v`` is ``<x^{v+1}, y>``; iterating ``v`` in
     order lets us maintain ``x^{v+1}`` with one field multiplication per
-    step instead of a fresh exponentiation.
+    step instead of a fresh exponentiation.  The tables are built
+    bit-sliced: for each ``x``, slice ``j`` holds bit ``j`` of every power
+    as one byte per vertex (packed into an integer), and the table of
+    ``(x, y)`` is the XOR of the slices of the bits set in ``y`` -- a
+    bytewise XOR, so byte ``v`` ends up as the parity of ``x^{v+1} & y``.
+    Table ``i`` is the ``i``-th function of the family (row-major over
+    ``(x, y)``), one byte (0 or 1) per vertex.
     """
     gf = family.field
-    tables: list[list[int]] = []
+    tables: list[bytes] = []
     for x in gf.elements():
         powers: list[int] = []
         power = x
         for _ in range(num_vertices):
             powers.append(power)
             power = gf.multiply(power, x)
+        slices = [
+            int.from_bytes(bytes([(p >> bit) & 1 for p in powers]), "little")
+            for bit in range(gf.degree)
+        ]
         for y in gf.elements():
-            tables.append([gf.inner_product_bit(p, y) for p in powers])
+            combined = 0
+            for bit, bit_slice in enumerate(slices):
+                if (y >> bit) & 1:
+                    combined ^= bit_slice
+            tables.append(combined.to_bytes(num_vertices, "little"))
     return tables
+
+
+#: Maps the bytes of a bit table to twice their value (0 -> 0, 1 -> 2).
+_DOUBLE_BITS = bytes.maketrans(b"\x01", b"\x02")
+
+
+def _gatherer(indices: list[int]) -> Callable[[Sequence[int]], Sequence[int]]:
+    """``table -> [table[i] for i in indices]`` as one C-level call."""
+    if len(indices) == 1:
+        only = indices[0]
+        return lambda table: (table[only],)
+    return itemgetter(*indices)
+
+
+def _colliding_pairs(counts: Counter[int], total: int) -> int:
+    """``sum(n * (n - 1) // 2)`` over the counts, which add up to ``total``."""
+    sizes = counts.values()
+    return (sum(map(mul, sizes, sizes)) - total) // 2
 
 
 def greedy_coloring(
@@ -132,61 +168,59 @@ def greedy_coloring(
 
     family = SmallBiasFamily.with_size_at_most(max(16, max_family_size))
     bit_tables = _candidate_bit_tables(family, num_vertices)
+    doubled_tables = [table.translate(_DOUBLE_BITS) for table in bit_tables]
 
     alpha = 1.0 / levels_needed
     budget_base = float(total_edges) * float(machine.memory_size)
-    colors: dict[int, int] = {}
+    colors = [0] * num_vertices
     diagnostics: list[GreedyLevel] = []
 
     for level in range(1, levels_needed + 1):
         best_index = -1
         best_potential = math.inf
-        best_stats: tuple[float, float] | None = None
         scale_nonadj = (4.0**level) / float(num_colors) ** 2
         scale_adj = (2.0**level) / float(num_colors)
 
-        # One charged scan of E_l evaluates every candidate.  Each block is
-        # decorated with the current colours once, then every candidate
-        # sweeps the decorated block with its counters held in locals.
-        per_candidate_class_sizes: list[dict[tuple[int, int], int]] = [
-            {} for _ in bit_tables
-        ]
-        per_candidate_vertex_counts: list[dict[tuple[int, int, int], int]] = [
-            {} for _ in bit_tables
-        ]
+        # One charged scan of E_l evaluates every candidate: the scan
+        # gathers the endpoints, then every candidate is scored from them.
+        us: list[int] = []
+        vs: list[int] = []
         for block in machine.scan_blocks(low_degree_edges):
             machine.stats.charge_operations(len(block) * len(bit_tables))
-            decorated = [(u, v, colors.get(u, 0), colors.get(v, 0)) for u, v in block]
-            for index, table in enumerate(bit_tables):
-                sizes = per_candidate_class_sizes[index]
-                # Two edges are "adjacent" when they share a vertex and land
-                # in the same colour class, so the counter key is the shared
-                # vertex together with the class pair.
-                vertex_counts = per_candidate_vertex_counts[index]
-                for u, v, cu, cv in decorated:
-                    new_cu = 2 * cu + table[u]
-                    new_cv = 2 * cv + table[v]
-                    pair = (new_cu, new_cv)
-                    sizes[pair] = sizes.get(pair, 0) + 1
-                    key_u = (u, new_cu, new_cv)
-                    key_v = (v, new_cu, new_cv)
-                    vertex_counts[key_u] = vertex_counts.get(key_u, 0) + 1
-                    vertex_counts[key_v] = vertex_counts.get(key_v, 0) + 1
+            for u, v in block:
+                us.append(u)
+                vs.append(v)
+        num_edges = len(us)
+        # Class pairs are integer keys: the refined pair (2cu + bit(u),
+        # 2cv + bit(v)) gets ``4 * (cu * 2^(level-1) + cv) + 2 * bit(u) +
+        # bit(v)``, which is below 4^level and one-to-one.  Two edges are
+        # "adjacent" when they share a vertex and land in the same class, so
+        # the vertex counter key is ``vertex * 4^level + pair key``.
+        gather_u = _gatherer(us)
+        gather_v = _gatherer(vs)
+        shift = level + 1
+        base = list(
+            map(
+                add,
+                gather_u([color << shift for color in colors]),
+                gather_v([color << 2 for color in colors]),
+            )
+        )
+        vertex_scale = 4**level
+        u_base = [u * vertex_scale for u in us]
+        v_base = [v * vertex_scale for v in vs]
 
-        for index in range(len(bit_tables)):
-            x_total = sum(
-                size * (size - 1) // 2 for size in per_candidate_class_sizes[index].values()
-            )
-            x_adj = sum(
-                count * (count - 1) // 2
-                for count in per_candidate_vertex_counts[index].values()
-            )
+        for index, (table, doubled) in enumerate(zip(bit_tables, doubled_tables)):
+            pairs = list(map(add, map(add, base, gather_u(doubled)), gather_v(table)))
+            x_total = _colliding_pairs(Counter(pairs), num_edges)
+            vertex_counts = Counter(map(add, u_base, pairs))
+            vertex_counts.update(map(add, v_base, pairs))
+            x_adj = _colliding_pairs(vertex_counts, 2 * num_edges)
             x_nonadj = x_total - x_adj
             potential = scale_nonadj * x_nonadj + scale_adj * x_adj
             if potential < best_potential:
                 best_potential = potential
                 best_index = index
-                best_stats = (float(x_nonadj), float(x_adj))
 
         budget = ((1.0 + alpha) ** level) * budget_base
         certified = best_potential <= budget
@@ -200,12 +234,9 @@ def greedy_coloring(
             )
         )
 
-        chosen_table = bit_tables[best_index]
-        for vertex in range(num_vertices):
-            colors[vertex] = 2 * colors.get(vertex, 0) + chosen_table[vertex]
-        del best_stats  # only kept for clarity while selecting
+        colors = list(map(add, map(add, colors, colors), bit_tables[best_index]))
 
-    return TableColoring(colors, num_colors), diagnostics, family.size
+    return TableColoring(dict(enumerate(colors)), num_colors), diagnostics, family.size
 
 
 def deterministic_cache_aware(

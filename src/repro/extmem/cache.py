@@ -39,6 +39,10 @@ class LRUBlockCache:
         self.stats = stats
         # key -> dirty flag; ordered from least to most recently used.
         self._blocks: OrderedDict[BlockKey, bool] = OrderedDict()
+        # The most recently used key (the last one in ``_blocks``), or None.
+        # Touching it again changes no LRU order, so ``access`` counts the
+        # hit and returns without reordering.
+        self._last: BlockKey | None = None
         self.hits = 0
         self.misses = 0
 
@@ -49,10 +53,17 @@ class LRUBlockCache:
         """Touch one block; charge a read on miss and a write on dirty eviction."""
         key = (storage_id, block_index)
         blocks = self._blocks
+        if key == self._last:
+            self.hits += 1
+            if write:
+                blocks[key] = True
+            return
+        self._last = key
         if key in blocks:
             self.hits += 1
-            dirty = blocks.pop(key)
-            blocks[key] = dirty or write
+            blocks.move_to_end(key)
+            if write:
+                blocks[key] = True
             return
         self.misses += 1
         self.stats.charge_read(1)
@@ -71,9 +82,10 @@ class LRUBlockCache:
         """
         key = (storage_id, block_index)
         blocks = self._blocks
+        self._last = key
         if key in blocks:
             self.hits += 1
-            blocks.pop(key)
+            blocks.move_to_end(key)
             blocks[key] = True
             return
         self.misses += 1
@@ -89,6 +101,8 @@ class LRUBlockCache:
         Used when a vector is freed: data that will never be read again does
         not need to reach disk.
         """
+        if self._last is not None and self._last[0] == storage_id:
+            self._last = None
         stale = [key for key in self._blocks if key[0] == storage_id]
         for key in stale:
             del self._blocks[key]
@@ -99,6 +113,7 @@ class LRUBlockCache:
             if dirty:
                 self.stats.charge_write(1)
         self._blocks.clear()
+        self._last = None
 
     @property
     def hit_rate(self) -> float:

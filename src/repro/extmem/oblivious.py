@@ -38,11 +38,6 @@ class ObliviousVM:
         self.current_words = 0
         self.peak_words = 0
 
-    @property
-    def block_size(self) -> int:
-        """Block size in records.  Used only by the VM itself, never by algorithms."""
-        return self.params.block_words
-
     # ------------------------------------------------------------------
     # vector creation
     # ------------------------------------------------------------------
@@ -114,40 +109,47 @@ class ExtVector:
         self._freed = True
 
     # -- element access through the cache --------------------------------
-    def _touch(self, index: int, write: bool) -> None:
-        block = index // self.vm.block_size
-        self.vm.cache.access(self.storage_id, block, write=write)
-        self.vm.stats.charge_operations(1)
-
+    # ``get``/``set``/``append`` are the simulator's innermost loop, so each
+    # charges its cache access and its operation inline.
     def get(self, index: int) -> Record:
         """Read one record."""
-        self._check_open()
-        if index < 0 or index >= len(self._data):
-            raise IndexError(f"index {index} out of range for vector of length {len(self._data)}")
-        self._touch(index, write=False)
-        return self._data[index]
+        if self._freed:
+            raise FileClosedError(f"vector {self.name!r} has been freed")
+        data = self._data
+        if index < 0 or index >= len(data):
+            raise IndexError(f"index {index} out of range for vector of length {len(data)}")
+        vm = self.vm
+        vm.cache.access(self.storage_id, index // vm.params.block_words, False)
+        vm.stats.operations += 1
+        return data[index]
 
     def set(self, index: int, record: Record) -> None:
         """Overwrite one record."""
-        self._check_open()
-        if index < 0 or index >= len(self._data):
-            raise IndexError(f"index {index} out of range for vector of length {len(self._data)}")
-        self._touch(index, write=True)
-        self._data[index] = record
+        if self._freed:
+            raise FileClosedError(f"vector {self.name!r} has been freed")
+        data = self._data
+        if index < 0 or index >= len(data):
+            raise IndexError(f"index {index} out of range for vector of length {len(data)}")
+        vm = self.vm
+        vm.cache.access(self.storage_id, index // vm.params.block_words, True)
+        vm.stats.operations += 1
+        data[index] = record
 
     def append(self, record: Record) -> None:
         """Append one record to the end of the vector."""
-        self._check_open()
+        if self._freed:
+            raise FileClosedError(f"vector {self.name!r} has been freed")
+        vm = self.vm
         index = len(self._data)
-        block = index // self.vm.block_size
-        if index % self.vm.block_size == 0:
+        block, offset = divmod(index, vm.params.block_words)
+        if offset == 0:
             # First record of a fresh block: no read needed to install it.
-            self.vm.cache.write_new(self.storage_id, block)
+            vm.cache.write_new(self.storage_id, block)
         else:
-            self.vm.cache.access(self.storage_id, block, write=True)
-        self.vm.stats.charge_operations(1)
+            vm.cache.access(self.storage_id, block, True)
+        vm.stats.operations += 1
         self._data.append(record)
-        self.vm._grow(1)
+        vm._grow(1)
 
     def extend(self, records: Iterable[Record]) -> None:
         """Append many records."""
@@ -204,13 +206,13 @@ class VectorSlice:
 
     def get(self, index: int) -> Record:
         """Read the ``index``-th record of the view."""
-        if index < 0 or index >= len(self):
+        if index < 0 or index >= self.stop - self.start:
             raise IndexError(f"index {index} out of range for slice of length {len(self)}")
         return self.vector.get(self.start + index)
 
     def set(self, index: int, record: Record) -> None:
         """Overwrite the ``index``-th record of the view."""
-        if index < 0 or index >= len(self):
+        if index < 0 or index >= self.stop - self.start:
             raise IndexError(f"index {index} out of range for slice of length {len(self)}")
         self.vector.set(self.start + index, record)
 

@@ -110,7 +110,7 @@ class GF2Field:
 
     def inner_product_bit(self, a: int, b: int) -> int:
         """The GF(2) inner product of the bit vectors of ``a`` and ``b``."""
-        return bin(a & b).count("1") & 1
+        return (a & b).bit_count() & 1
 
     def elements(self) -> range:
         """All field elements, encoded as integers ``0 .. 2^m - 1``."""

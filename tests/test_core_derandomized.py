@@ -3,11 +3,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.bounds import expected_colour_collisions
 from repro.analysis.model import MachineParams
 from repro.core.baselines.in_memory import triangles_in_memory
 from repro.core.derandomized import (
+    GreedyLevel,
     _round_up_to_power_of_two,
     deterministic_cache_aware,
     greedy_coloring,
@@ -17,6 +20,7 @@ from repro.extmem.machine import Machine
 from repro.extmem.stats import IOStats
 from repro.graph.generators import clique, erdos_renyi_gnm
 from repro.hashing.coloring import TableColoring
+from repro.hashing.small_bias import SmallBiasFamily
 
 
 def make_machine(memory=128, block=8):
@@ -85,6 +89,124 @@ class TestGreedyColoring:
         bound = math.e * expected_colour_collisions(len(edges), machine.memory_size)
         assert x_xi <= bound
         assert all(level.certified for level in levels)
+
+
+def _dict_greedy_coloring(machine, low_degree_edges, num_colors, total_edges, max_family_size):
+    """Frozen copy of the dict-based ``greedy_coloring`` it replaced (the oracle)."""
+    levels_needed = int(math.log2(num_colors)) if num_colors > 1 else 0
+    if levels_needed == 0:
+        return TableColoring({}, 1), [], 0
+    max_vertex = -1
+    for block in machine.scan_blocks(low_degree_edges):
+        machine.stats.charge_operations(len(block))
+        block_max = max(max(u, v) for u, v in block)
+        if block_max > max_vertex:
+            max_vertex = block_max
+    num_vertices = max_vertex + 1
+    if num_vertices <= 0:
+        return TableColoring({}, num_colors), [], 0
+
+    family = SmallBiasFamily.with_size_at_most(max(16, max_family_size))
+    gf = family.field
+    bit_tables = []
+    for x in gf.elements():
+        powers = []
+        power = x
+        for _ in range(num_vertices):
+            powers.append(power)
+            power = gf.multiply(power, x)
+        for y in gf.elements():
+            bit_tables.append([bin(p & y).count("1") & 1 for p in powers])
+
+    alpha = 1.0 / levels_needed
+    budget_base = float(total_edges) * float(machine.memory_size)
+    colors = {}
+    diagnostics = []
+    for level in range(1, levels_needed + 1):
+        best_index = -1
+        best_potential = math.inf
+        scale_nonadj = (4.0**level) / float(num_colors) ** 2
+        scale_adj = (2.0**level) / float(num_colors)
+        class_sizes = [{} for _ in bit_tables]
+        vertex_counts = [{} for _ in bit_tables]
+        for block in machine.scan_blocks(low_degree_edges):
+            machine.stats.charge_operations(len(block) * len(bit_tables))
+            decorated = [(u, v, colors.get(u, 0), colors.get(v, 0)) for u, v in block]
+            for index, table in enumerate(bit_tables):
+                sizes = class_sizes[index]
+                counts = vertex_counts[index]
+                for u, v, cu, cv in decorated:
+                    new_cu = 2 * cu + table[u]
+                    new_cv = 2 * cv + table[v]
+                    pair = (new_cu, new_cv)
+                    sizes[pair] = sizes.get(pair, 0) + 1
+                    key_u = (u, new_cu, new_cv)
+                    key_v = (v, new_cu, new_cv)
+                    counts[key_u] = counts.get(key_u, 0) + 1
+                    counts[key_v] = counts.get(key_v, 0) + 1
+        for index in range(len(bit_tables)):
+            x_total = sum(size * (size - 1) // 2 for size in class_sizes[index].values())
+            x_adj = sum(count * (count - 1) // 2 for count in vertex_counts[index].values())
+            x_nonadj = x_total - x_adj
+            potential = scale_nonadj * x_nonadj + scale_adj * x_adj
+            if potential < best_potential:
+                best_potential = potential
+                best_index = index
+        budget = ((1.0 + alpha) ** level) * budget_base
+        diagnostics.append(
+            GreedyLevel(level, best_index, best_potential, budget, best_potential <= budget)
+        )
+        chosen_table = bit_tables[best_index]
+        for vertex in range(num_vertices):
+            colors[vertex] = 2 * colors.get(vertex, 0) + chosen_table[vertex]
+    return TableColoring(colors, num_colors), diagnostics, family.size
+
+
+#: Canonical-looking low-degree edge sets (``u < v``, no duplicates), possibly
+#: empty; ``stride`` and ``offset`` spread the ids so the universe has gaps.
+low_degree_edge_sets = st.builds(
+    lambda pairs, stride, offset: sorted(
+        {(offset + stride * min(u, v), offset + stride * max(u, v)) for u, v in pairs if u != v}
+    ),
+    st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=60),
+    st.sampled_from([1, 2, 5]),
+    st.integers(0, 20),
+)
+
+
+class TestGreedyColoringMatchesDictOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        edges=low_degree_edge_sets,
+        num_colors=st.sampled_from([2, 4, 8]),
+        max_family_size=st.sampled_from([16, 64, 256]),
+        machine_shape=st.sampled_from([(32, 4), (64, 8), (128, 8)]),
+    )
+    def test_property_identical_to_dict_oracle(
+        self, edges, num_colors, max_family_size, machine_shape
+    ):
+        outcomes = []
+        for build in (greedy_coloring, _dict_greedy_coloring):
+            machine = make_machine(*machine_shape)
+            edge_file = machine.file_from_records(edges)
+            with machine.phase("greedy-coloring"):
+                coloring, levels, family_size = build(
+                    machine, edge_file, num_colors, len(edges) + 1, max_family_size
+                )
+            outcomes.append(
+                (coloring.num_colors, coloring._table, levels, family_size, machine.stats)
+            )
+        assert outcomes[0] == outcomes[1]
+
+    def test_single_edge_and_empty_edge_set(self):
+        for edges in ([(3, 9)], []):
+            outcomes = []
+            for build in (greedy_coloring, _dict_greedy_coloring):
+                machine = make_machine()
+                edge_file = machine.file_from_records(edges)
+                coloring, levels, family_size = build(machine, edge_file, 4, 10, 64)
+                outcomes.append((coloring._table, levels, family_size, machine.stats))
+            assert outcomes[0] == outcomes[1]
 
 
 class TestFullAlgorithm:

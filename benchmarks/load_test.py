@@ -64,7 +64,7 @@ SIZES = {
 
 
 def machine_algorithms() -> list[str]:
-    """The explicit-machine algorithms -- the shardable, comparable set."""
+    """The explicit-machine algorithms -- the set ``repro compare`` runs."""
     return [spec.name for spec in algorithm_specs() if spec.substrate == "machine"]
 
 
@@ -72,9 +72,9 @@ def build_query_mix(quick: bool) -> list[dict[str, Any]]:
     """The distinct queries the clients repeat.
 
     Counts across every machine algorithm, one enumeration (exercises the
-    stream/SSE path and triangle storage) and one sharded count on the
-    persistent pool (exercises shared-memory segments, which the shutdown
-    gate then checks for leaks).
+    stream/SSE path and triangle storage) and one sharded count of the
+    first shardable algorithm on the persistent pool (exercises
+    shared-memory segments, which the shutdown gate then checks for leaks).
     """
     algorithms = machine_algorithms()
     if quick:
@@ -83,9 +83,8 @@ def build_query_mix(quick: bool) -> list[dict[str, Any]]:
         {"mode": "count", "algorithm": algorithm, **MACHINE} for algorithm in algorithms
     ]
     mix.append({"mode": "enum", "algorithm": algorithms[0], **MACHINE})
-    mix.append(
-        {"mode": "count", "algorithm": algorithms[0], "shards": 2, "jobs": 2, **MACHINE}
-    )
+    sharded = next(spec.name for spec in algorithm_specs() if spec.shardable)
+    mix.append({"mode": "count", "algorithm": sharded, "shards": 2, "jobs": 2, **MACHINE})
     return mix
 
 

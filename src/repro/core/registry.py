@@ -49,14 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: The substrate kinds an algorithm may declare.
 SUBSTRATES = ("machine", "oblivious-vm", "in-memory")
 
-#: How a machine-kind algorithm participates in sharded execution:
-#: ``subgraph`` (the generic colour-triple decomposition re-runs the whole
-#: algorithm per shard) or ``triples`` (the algorithm's own colour-triple
-#: phase is distributed via ``SubstrateContext.triples_executor``, keeping
-#: aggregated counters bit-identical to the serial run).
-SHARDING_MODES = ("subgraph", "triples")
-
-
 @dataclass(frozen=True)
 class AlgorithmOptions:
     """Base class for per-algorithm typed options.
@@ -193,12 +185,12 @@ class SubstrateContext:
     vm: "ObliviousVM | None" = None
     edge_vector: "ExtVector | None" = None
     edges: list[tuple[int, int]] | None = None
-    #: Sharded runs of ``sharding="triples"`` algorithms: a drop-in
+    #: Sharded runs of ``shardable`` algorithms: a drop-in
     #: replacement for the serial colour-triple loop with the signature of
     #: :func:`repro.core.cache_aware.enumerate_colored_triples`.  ``None``
     #: (the default) means run the triples phase in-process as usual.
     triples_executor: Callable[..., int] | None = None
-    #: Companion hook for the Lemma-1 high-degree phase of ``triples``
+    #: Companion hook for the Lemma-1 high-degree phase of ``shardable``
     #: algorithms: a drop-in replacement for the serial per-vertex loop,
     #: called as ``(machine, edge_file, sink, high_vertices) -> emitted``.
     #: ``None`` (the default) keeps the phase in-process.
@@ -236,9 +228,10 @@ class AlgorithmSpec:
     accepts_seed: bool
     runner: AlgorithmRunner
     options_type: type[AlgorithmOptions] = NoOptions
-    #: Sharded-execution capability (meaningful for ``machine`` algorithms
-    #: only; see :data:`SHARDING_MODES`).
-    sharding: str = "subgraph"
+    #: Whether ``shards=c`` is accepted: the algorithm runs its colour-triple
+    #: (and Lemma 1 high-degree) phase through the ``SubstrateContext``
+    #: executors, so sharded counters are bit-identical to the serial run.
+    shardable: bool = False
     #: Optional count-only adapter; when present,
     #: :meth:`TriangleEngine.count` (and any ``run`` without a sink or
     #: ``collect``) dispatches here and skips triangle emission entirely.
@@ -291,9 +284,8 @@ class AlgorithmSpec:
         ``jobs == 1``) -- the serial path.  Raises
         :class:`repro.exceptions.OptionsError` when ``jobs``,
         ``task_timeout``, ``max_retries`` or ``pool`` is given without
-        ``shards``, when the algorithm does not run on the explicit machine
-        substrate (only ``machine``-kind algorithms decompose by the
-        paper's vertex colouring), or when any knob is out of range.
+        ``shards``, when the algorithm is not :attr:`shardable`, or when
+        any knob is out of range.
         ``max_retries=None`` / ``pool=None`` mean the
         :class:`ShardingOptions` defaults.
         """
@@ -314,10 +306,10 @@ class AlgorithmSpec:
                     "requires shards: pass shards=c to enable sharded execution"
                 )
             return None
-        if self.substrate != "machine":
+        if not self.shardable:
             raise OptionsError(
-                f"algorithm {self.name!r} runs on substrate {self.substrate!r}; "
-                "sharded execution is only defined for 'machine' algorithms"
+                f"algorithm {self.name!r} is not shardable; sharded execution "
+                "is only defined for algorithms registered with shardable=True"
             )
         knobs: dict[str, Any] = {"shards": shards, "jobs": jobs, "task_timeout": task_timeout}
         if max_retries is not None:
@@ -356,27 +348,24 @@ def register_algorithm(
     substrate: str,
     accepts_seed: bool,
     options: type[AlgorithmOptions] = NoOptions,
-    sharding: str = "subgraph",
+    shardable: bool = False,
     counter: "AlgorithmCounter | None" = None,
 ) -> Callable[[AlgorithmRunner], AlgorithmRunner]:
     """Register an algorithm adapter under ``name`` and return it unchanged.
 
     ``counter`` optionally supplies a count-only adapter (see
     :data:`AlgorithmCounter`); the engine uses it to answer count queries
-    without emitting a single triangle.  Raises
+    without emitting a single triangle.  ``shardable`` declares that the
+    runner honours the ``SubstrateContext`` sharding executors (see
+    :attr:`AlgorithmSpec.shardable`).  Raises
     :class:`repro.exceptions.RegistrationError` for duplicate names, unknown
-    substrate kinds, unknown sharding modes, options types that are not
-    :class:`AlgorithmOptions` dataclasses, or non-callable counters.
+    substrate kinds, options types that are not :class:`AlgorithmOptions`
+    dataclasses, or non-callable counters.
     """
     if substrate not in SUBSTRATES:
         raise RegistrationError(
             f"algorithm {name!r} declares unknown substrate {substrate!r}; "
             f"expected one of {', '.join(SUBSTRATES)}"
-        )
-    if sharding not in SHARDING_MODES:
-        raise RegistrationError(
-            f"algorithm {name!r} declares unknown sharding mode {sharding!r}; "
-            f"expected one of {', '.join(SHARDING_MODES)}"
         )
     if not (isinstance(options, type) and issubclass(options, AlgorithmOptions)):
         raise RegistrationError(
@@ -406,7 +395,7 @@ def register_algorithm(
             accepts_seed=accepts_seed,
             runner=runner,
             options_type=options,
-            sharding=sharding,
+            shardable=shardable,
             counter=counter,
         )
         return runner

@@ -33,16 +33,15 @@ from repro.poolexec.pool import (
     PersistentPoolProvider,
     PoolLease,
     SharedWorkerPool,
+    effective_jobs,
     provider_for,
 )
 from repro.poolexec.segments import (
     EdgeSource,
-    MemmapSlice,
     SegmentHandle,
     SegmentRef,
     SegmentSlice,
     attached_edges,
-    memmap_slice_edges,
     publish_edges,
     resolve_edges,
     segment_stats,
@@ -55,7 +54,6 @@ __all__ = [
     "POOL_MODES",
     "EdgeSource",
     "EphemeralPoolProvider",
-    "MemmapSlice",
     "PersistentPoolProvider",
     "PoolLease",
     "SegmentHandle",
@@ -63,7 +61,7 @@ __all__ = [
     "SegmentSlice",
     "SharedWorkerPool",
     "attached_edges",
-    "memmap_slice_edges",
+    "effective_jobs",
     "provider_for",
     "publish_edges",
     "resolve_edges",

@@ -221,6 +221,21 @@ class PersistentPoolProvider:
         lease.started_queue = None
 
 
+def effective_jobs(jobs: int, num_items: int) -> int:
+    """The worker-process count a pool would actually use.
+
+    Returns 1 (serial execution, no pool) when a pool is pointless --
+    fewer than two jobs or fewer than two items -- or when the calling
+    process is itself a daemonic pool worker, which ``multiprocessing``
+    forbids from having children.
+    """
+    if jobs <= 1 or num_items <= 1:
+        return 1
+    if multiprocessing.current_process().daemon:
+        return 1
+    return min(jobs, num_items)
+
+
 def provider_for(pool: str, jobs: int) -> PoolProvider:
     """The provider behind a ``--pool persistent|spawn`` selection."""
     if pool == "spawn":

@@ -97,6 +97,15 @@ class TestCompare:
         serial = self._compare_table(graph_file, capsys, "--shards", "2", "--jobs", "1")
         assert sharded == serial
         assert "sharding: 2 colours" in sharded
+        # hu_tao_chung is not shardable: its row runs serially, says so, and
+        # carries exactly the numbers of an unsharded compare.
+        unsharded = self._compare_table(graph_file, capsys)
+        row = next(line for line in sharded.splitlines() if line.startswith("hu_tao_chung"))
+        assert row.endswith("(serial: not shardable)")
+        serial_row = next(
+            line for line in unsharded.splitlines() if line.startswith("hu_tao_chung")
+        )
+        assert row.split()[1:5] == serial_row.split()[1:5]
 
     def test_jobs_alone_implies_matching_shard_count(self, graph_file, capsys):
         # ``--jobs N`` without ``--shards`` shards by N colours; jobs=1

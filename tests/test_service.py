@@ -149,6 +149,7 @@ class TestNormalisation:
             {"surprise": 1},
             {"options": {"no_such_option": 3}},
             {"shards": 0},
+            {"algorithm": "hu_tao_chung", "shards": 2},  # not shardable
         ):
             with pytest.raises(ServiceError):
                 normalize_query(bad)

@@ -1,17 +1,12 @@
 """Tests for the colour-sharded execution path (repro.core.sharding).
 
-The contract under test, per execution mode:
-
-* ``triples`` (cache_aware, deterministic): a sharded run *is* the serial
-  run with its high-degree and colour-triple phases distributed --
-  aggregated counters, phase attribution, triangle list (including order)
-  and disk peak are bit-identical to the serial run with
-  ``num_colors=shards``, for any job count and any shard completion order.
-* ``subgraph`` (every other machine algorithm): the triangle set is
-  identical to the serial run (each triangle emitted by exactly one shard,
-  enforced through a DedupCheckingSink), aggregated counters are
-  deterministic across job counts and repetitions, and ``shards=1``
-  degenerates to the bit-identical serial instance.
+The contract under test: a sharded run of a shardable algorithm
+(cache_aware, deterministic) *is* the serial run with its high-degree and
+colour-triple phases distributed -- aggregated counters, phase attribution,
+triangle list (including order) and disk peak are bit-identical to the
+serial run with ``num_colors=shards``, for any job count and any shard
+completion order, and each triangle is emitted by exactly one shard.  Every
+other algorithm rejects ``shards``.
 
 Process-pool tests are kept to a handful: a spawn pool costs ~0.5 s on CI,
 and jobs=1 exercises the identical merge path in-process.
@@ -35,21 +30,14 @@ from repro.graph.generators import clique, erdos_renyi_gnm, planted_triangles
 
 SMALL_PARAMS = MachineParams(memory_words=64, block_words=8)
 
-#: Machine-kind algorithms that shard through the generic subgraph mode.
-SUBGRAPH_ALGORITHMS = ["hu_tao_chung", "dementiev", "bnlj"]
-
 
 def make_engine(graph_seed: int = 3, edges: int = 240) -> TriangleEngine:
     graph = erdos_renyi_gnm(max(30, edges // 4), edges, seed=graph_seed)
     return TriangleEngine(graph, params=SMALL_PARAMS)
 
 
-def triangle_set(result):
-    return {tuple(sorted(t)) for t in result.triangles}
-
-
 class TestTriplesModeParity:
-    """cache_aware: sharded == serial, bit for bit."""
+    """cache_aware and deterministic: sharded == serial, bit for bit."""
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
     @pytest.mark.parametrize("graph_seed", [3, 5])
@@ -86,7 +74,6 @@ class TestTriplesModeParity:
         result = engine.run("cache_aware", seed=1, shards=2)
         meta = result.sharding
         assert isinstance(meta, ShardingStats)
-        assert meta.mode == "triples"
         assert meta.num_colors == 2
         assert meta.num_shards == len(meta.shard_seconds) == len(meta.shard_triples)
         assert engine.run("cache_aware", seed=1).sharding is None
@@ -120,7 +107,7 @@ class TestTriplesModeParity:
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_deterministic_sharded_is_bit_identical_to_serial(self, shards):
-        # The deterministic algorithm shards through the same triples-mode
+        # The deterministic algorithm shards through the same colour-triple
         # executors (its greedy colouring stays on the coordinator), so its
         # sharded counters reproduce the serial run with the same colour
         # count bit for bit.
@@ -131,43 +118,16 @@ class TestTriplesModeParity:
         assert sharded.phases == serial.phases
         assert sharded.triangles == serial.triangles
         assert sharded.disk_peak_words == serial.disk_peak_words
-        assert sharded.sharding.mode == "triples"
 
-
-class TestSubgraphModeParity:
-    """Generic machine algorithms: identical triangle sets, exactly once."""
-
-    @pytest.mark.parametrize("algorithm", SUBGRAPH_ALGORITHMS)
-    def test_triangle_set_matches_serial(self, algorithm):
-        engine = make_engine()
-        serial = engine.run(algorithm, collect=True)
-        sharded = engine.run(algorithm, shards=2, collect=True)
-        assert triangle_set(sharded) == triangle_set(serial)
-        assert sharded.triangle_count == serial.triangle_count
-
-    @pytest.mark.parametrize("algorithm", SUBGRAPH_ALGORITHMS)
-    def test_single_shard_is_the_serial_instance(self, algorithm):
-        engine = make_engine()
-        serial = engine.run(algorithm, collect=True)
-        sharded = engine.run(algorithm, shards=1, collect=True)
-        assert sharded.io == serial.io
-        assert sharded.triangles == serial.triangles
-
-    def test_each_triangle_emitted_exactly_once_across_shards(self):
+    @pytest.mark.parametrize("algorithm", ["cache_aware", "deterministic"])
+    def test_each_triangle_emitted_exactly_once_across_shards(self, algorithm):
         engine = TriangleEngine(
             planted_triangles(25, filler_bipartite_edges=120, seed=9), params=SMALL_PARAMS
         )
         checker = DedupCheckingSink()  # raises on any double emission
-        result = engine.run("hu_tao_chung", shards=4, sink=checker)
+        result = engine.run(algorithm, seed=1, shards=4, sink=checker)
         assert result.triangle_count == 25
         assert checker.count == 25
-
-    def test_subgraph_report_carries_shard_stats(self):
-        engine = make_engine()
-        result = engine.run("hu_tao_chung", shards=2)
-        assert result.sharding.mode == "subgraph"
-        assert result.sharding.num_shards == result.report.num_shards
-        assert result.sharding.num_colors == 2
 
 
 class TestShardedAndSerialAgree:
@@ -190,9 +150,6 @@ class TestShardedAndSerialAgree:
         sharded = engine.run("cache_aware", seed=1, shards=shards, collect=True)
         assert sharded.io == serial.io
         assert sharded.triangles == serial.triangles
-        generic_serial = engine.run("hu_tao_chung", collect=True)
-        generic = engine.run("hu_tao_chung", shards=shards, collect=True)
-        assert triangle_set(generic) == triangle_set(generic_serial)
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_repeated_runs_are_bit_identical(self, shards):
@@ -216,13 +173,6 @@ class TestProcessPool:
         assert pooled.triangles == inline.triangles
         assert pooled.sharding.jobs == 4
 
-    def test_subgraph_mode_jobs_invariant(self):
-        engine = make_engine()
-        inline = engine.run("dementiev", shards=2, jobs=1, collect=True)
-        pooled = engine.run("dementiev", shards=2, jobs=4, collect=True)
-        assert pooled.io == inline.io
-        assert pooled.triangles == inline.triangles
-
     def test_engine_count_with_sharding(self):
         engine = TriangleEngine(clique(10), params=SMALL_PARAMS)
         assert engine.count("cache_aware", seed=1, shards=2, jobs=2) == math.comb(10, 3)
@@ -231,10 +181,12 @@ class TestProcessPool:
 class TestValidation:
     """ShardingOptions and spec-level gating."""
 
-    @pytest.mark.parametrize("algorithm", ["cache_oblivious", "in_memory"])
+    @pytest.mark.parametrize(
+        "algorithm", ["cache_oblivious", "in_memory", "hu_tao_chung", "dementiev", "bnlj"]
+    )
     def test_non_machine_algorithms_reject_sharding(self, algorithm):
         engine = make_engine()
-        with pytest.raises(OptionsError, match="substrate"):
+        with pytest.raises(OptionsError, match="not shardable"):
             engine.run(algorithm, shards=2)
 
     def test_jobs_without_shards_rejected(self):

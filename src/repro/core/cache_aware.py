@@ -237,8 +237,8 @@ def iter_colour_triples(
     For every triple ``(tau1, tau2, tau3)`` with a non-empty pivot class
     ``E_{tau2,tau3}`` yields ``(triple, pivot, adjacency, spectators)``:
     the pivot slice, the adjacency classes whose cone colour is ``tau1``,
-    and the spectator classes (scanned and charged by Lemma 2, never
-    merged).  This is the shared iteration of the serial loop below and the
+    and the spectator classes (charged by Lemma 2 as scanned, never
+    read).  This is the shared iteration of the serial loop below and the
     sharded executor in :mod:`repro.core.sharding`; the order is the
     deterministic lexicographic triple order.
     """
@@ -250,10 +250,10 @@ def iter_colour_triples(
                     continue
                 # A class ``(a, b)`` holds edges whose cone endpoint has
                 # colour ``a`` (the partition sorts by the first endpoint's
-                # colour), so the Lemma 2 cone filter is constant per class:
-                # classes with ``a == tau1`` contribute all their groups and
-                # need no per-vertex filter, the others are pure spectators
-                # that Lemma 2 scans and charges without merging.
+                # colour), so the cone-colour condition of Lemma 2 is
+                # constant per class: classes with ``a == tau1`` contribute
+                # all their groups, the others are pure spectators that
+                # Lemma 2 charges as scanned without reading them.
                 adjacency_keys = {(tau1, tau2), (tau1, tau3), (tau2, tau3)}
                 adjacency: list[FileSlice] = []
                 spectators: list[FileSlice] = []

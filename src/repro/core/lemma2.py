@@ -17,20 +17,24 @@ This subroutine is both:
   the union of three partitions, and
 * the whole of the Hu-Tao-Chung baseline (``E' = E``), see
   :mod:`repro.core.baselines.hu_tao_chung`.
+
+Each batch filters the adjacency records with C-level builtins, and only the
+records that can close a triangle reach a Python loop.  The counters and the
+emitted triangle sequence are those of the group-at-a-time loop (DESIGN.md,
+"Lemma 2 inner loop").
 """
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import compress
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 from repro.core.emit import Triangle, TriangleSink, emit_all, sorted_triangle
 from repro.extmem.disk import Readable
 from repro.extmem.machine import Machine
 
 RankedEdge = tuple[int, int]
-TriangleFilter = Callable[[Triangle], bool]
 
 #: Fraction of internal memory used for the pivot-edge batch.  The batch,
 #: its endpoint set and its adjacency index together are leased as
@@ -43,14 +47,16 @@ _MEMORY_MULTIPLIER = 3
 #: external memory).
 _EMIT_BATCH = 4096
 
+_cone = itemgetter(0)
+_forward = itemgetter(1)
+
 
 def triangles_with_pivot_in(
     machine: Machine,
     pivot_source: Readable,
     adjacency_sources: Sequence[Readable],
     sink: TriangleSink,
-    cone_filter: Callable[[int], bool] | None = None,
-    triangle_filter: TriangleFilter | None = None,
+    *,
     memory_fraction: float = DEFAULT_MEMORY_FRACTION,
     spectator_sources: Sequence[Readable] = (),
 ) -> int:
@@ -64,20 +70,12 @@ def triangles_with_pivot_in(
         Files/slices that together form the edge set ``E``; **each must be
         sorted lexicographically** so that their merge is grouped by smaller
         endpoint.  Pass each distinct source once.
-    cone_filter:
-        Optional predicate on the cone vertex; groups whose smaller endpoint
-        fails it are skipped (used by the colour-class iteration to keep
-        only cone vertices of colour ``tau_1``).
-    triangle_filter:
-        Optional predicate on the sorted triangle applied just before
-        emission.
     spectator_sources:
-        Parts of the edge set whose cone vertices are known *a priori* to
-        fail ``cone_filter`` (e.g. a colour class whose first colour is not
-        ``tau_1``).  They are scanned and charged exactly like the other
-        adjacency sources on every batch -- the I/O model sees the same
-        stream -- but they are kept out of the merge since none of their
-        groups can contribute.
+        Parts of the edge set whose cone vertices are known *a priori* not
+        to contribute (e.g. a colour class whose first colour is not
+        ``tau_1``).  Every batch charges them exactly like a scan of the
+        other adjacency sources -- the I/O model sees the same stream --
+        without reading their records.
 
     Returns the number of triangles emitted.
     """
@@ -88,6 +86,9 @@ def triangles_with_pivot_in(
     total_pivots = len(pivot_source)
     if total_pivots == 0:
         return 0
+    spectator_records = [len(spectator) for spectator in spectator_sources]
+    spectator_reads = sum(map(machine.blocks, spectator_records))
+    spectator_operations = sum(spectator_records)
     batch_size = max(1, int(memory_fraction * machine.memory_size))
     emitted = 0
     position = 0
@@ -95,17 +96,9 @@ def triangles_with_pivot_in(
         count = min(batch_size, total_pivots - position)
         with machine.lease(_MEMORY_MULTIPLIER * count, "lemma2 pivot batch"):
             batch = machine.load(pivot_source, position, count)
-            for spectator in spectator_sources:
-                for block in machine.scan_blocks(spectator):
-                    machine.stats.charge_operations(len(block))
-            emitted += _process_batch(
-                machine,
-                batch,
-                adjacency_sources,
-                sink,
-                cone_filter,
-                triangle_filter,
-            )
+            machine.stats.charge_read(spectator_reads)
+            machine.stats.charge_operations(spectator_operations)
+            emitted += _process_batch(machine, batch, adjacency_sources, sink)
         position += count
     return emitted
 
@@ -115,152 +108,66 @@ def _process_batch(
     batch: list[RankedEdge],
     adjacency_sources: Sequence[Readable],
     sink: TriangleSink,
-    cone_filter: Callable[[int], bool] | None,
-    triangle_filter: TriangleFilter | None,
 ) -> int:
     """Stream the edge set once against one memory-resident pivot batch.
 
-    The merged adjacency stream is consumed one cone-vertex *group* at a
-    time: the forward neighbourhood of the group's vertex is collected with
-    a single set-membership comprehension and the work is charged per group,
-    not per edge (same totals, far fewer counter calls).
+    Each chunk of an adjacency source is narrowed twice with C-level
+    filters: *probes* are the records ``(v, u)`` whose forward endpoint
+    ``u`` starts a batch edge, *targets* those whose forward endpoint ends
+    one.  A probe reads the closing list of ``u`` (its batch edges
+    ``(u, w)``), charged as ``len`` operations; every other record touching
+    the batch has an empty closing list and costs nothing more.  A batch
+    edge ``(u, w)`` closes the triangle ``{v, u, w}`` exactly when ``(v, w)``
+    is a target, so ``v`` has at least two batch-touching neighbours, as
+    the group-at-a-time loop required.
     """
-    batch_endpoints: set[int] = set()
-    batch_adjacency: dict[int, list[int]] = {}
+    closing: dict[int, list[int]] = {}
     for u, w in batch:
-        batch_endpoints.add(u)
-        batch_endpoints.add(w)
-        batch_adjacency.setdefault(u, []).append(w)
-    machine.stats.charge_operations(len(batch))
+        closing.setdefault(u, []).append(w)
+    starts_batch_edge = closing.__contains__
+    ends_batch_edge = frozenset(map(_forward, batch)).__contains__
 
-    emitted = 0
-    operations = 0
-    triangles: list[Triangle] = []
-    get_closing = batch_adjacency.get
-
-    def flush() -> int:
-        nonlocal triangles
-        kept = (
-            triangles
-            if triangle_filter is None
-            else [t for t in triangles if triangle_filter(t)]
-        )
-        emit_all(sink, kept)
-        triangles = []
-        return len(kept)
-
-    for v, gamma in _merged_candidate_groups(machine, adjacency_sources, batch_endpoints):
-        if cone_filter is not None and not cone_filter(v):
-            continue
-        if len(gamma) == 1:
-            # A single batch-touching neighbour cannot close a triangle, but
-            # probing its closing list is still charged work.
-            closing = get_closing(gamma[0])
-            if closing:
-                operations += len(closing)
-            continue
-        gamma_set = set(gamma)
-        for u in gamma:
-            closing = get_closing(u)
-            if not closing:
-                continue
-            operations += len(closing)
-            triangles.extend(
-                sorted_triangle(v, u, w) for w in closing if w in gamma_set
-            )
-        if len(triangles) >= _EMIT_BATCH:
-            emitted += flush()
+    operations = len(batch)
+    probes: list[RankedEdge] = []
+    targets: list[RankedEdge] = []
+    for source in adjacency_sources:
+        for chunk in machine.scan_chunks(source):
+            operations += len(chunk)
+            forward = list(map(_forward, chunk))
+            probes += compress(chunk, map(starts_batch_edge, forward))
+            targets += compress(chunk, map(ends_batch_edge, forward))
+    operations += sum(map(len, map(closing.__getitem__, map(_forward, probes))))
     machine.stats.charge_operations(operations)
-    emitted += flush()
-    return emitted
+    if len(adjacency_sources) > 1:
+        # Stable: a cone vertex's probes keep source order, then ``u`` order.
+        probes.sort(key=_cone)
+    return _close_triangles(probes, set(targets), closing, sink)
 
 
-def _candidate_groups(
-    machine: Machine, readable: Readable, batch_endpoints: set[int]
-) -> Iterator[tuple[int, list[int]]]:
-    """Yield ``(cone vertex, batch-restricted neighbours)`` for one source.
+def _close_triangles(
+    probes: list[RankedEdge],
+    targets: set[RankedEdge],
+    closing: dict[int, list[int]],
+    sink: TriangleSink,
+) -> int:
+    """Emit ``{v, u, w}`` for each probe ``(v, u)`` (in order) and each batch
+    edge ``(u, w)`` (in batch order) whose ``(v, w)`` is a target.
 
-    The source must be sorted lexicographically.  Each block is charged as
-    one bulk work unit (one operation per record, as before) and immediately
-    narrowed to the records whose forward neighbour touches the pivot batch
-    -- a single set-membership comprehension; only the survivors are grouped
-    by cone vertex, with groups spanning block boundaries stitched back
-    together.  Groups whose ``Gamma_v`` is empty are never materialised.
+    Triangles are delivered in bulk at the first cone vertex after
+    ``_EMIT_BATCH`` of them have been buffered, and once at the end.
     """
-    charge_operations = machine.stats.charge_operations
-    current_vertex: int | None = None
-    current_gamma: list[int] = []
-    for block in machine.scan_blocks(readable):
-        charge_operations(len(block))
-        candidates = [edge for edge in block if edge[1] in batch_endpoints]
-        for v, group in groupby(candidates, key=itemgetter(0)):
-            gamma = [u for _, u in group]
-            if v == current_vertex:
-                current_gamma.extend(gamma)
-            else:
-                if current_gamma:
-                    yield current_vertex, current_gamma
-                current_vertex = v
-                current_gamma = gamma
-    if current_gamma:
-        yield current_vertex, current_gamma
-
-
-def _merged_candidate_groups(
-    machine: Machine, sources: Sequence[Readable], batch_endpoints: set[int]
-) -> Iterator[tuple[int, list[int]]]:
-    """Merge the per-source candidate-group streams by cone vertex.
-
-    All call sites pass a constant number of sources (at most three colour
-    classes), so the merge picks the minimum head vertex with a couple of
-    comparisons per group instead of running a record-level heap.
-    Neighbours of a vertex appearing in several sources are concatenated in
-    source order; group contents are order-insensitive downstream (set
-    membership).
-    """
-    if len(sources) == 1:
-        yield from _candidate_groups(machine, sources[0], batch_endpoints)
-        return
-    streams = [
-        _candidate_groups(machine, source, batch_endpoints) for source in sources
-    ]
-    if len(streams) == 2:
-        # The colour-triple iteration never has more than two contributing
-        # classes, so this branch is the hot one.
-        first, second = streams
-        a = next(first, None)
-        b = next(second, None)
-        while a is not None and b is not None:
-            if a[0] < b[0]:
-                yield a
-                a = next(first, None)
-            elif b[0] < a[0]:
-                yield b
-                b = next(second, None)
-            else:
-                yield a[0], a[1] + b[1]
-                a = next(first, None)
-                b = next(second, None)
-        while a is not None:
-            yield a
-            a = next(first, None)
-        while b is not None:
-            yield b
-            b = next(second, None)
-        return
-    heads = [next(stream, None) for stream in streams]
-    while True:
-        vertex: int | None = None
-        for head in heads:
-            if head is not None and (vertex is None or head[0] < vertex):
-                vertex = head[0]
-        if vertex is None:
-            return
-        gamma: list[int] = []
-        for index, head in enumerate(heads):
-            if head is not None and head[0] == vertex:
-                gamma.extend(head[1])
-                heads[index] = next(streams[index], None)
-        yield vertex, gamma
-
-
+    emitted = 0
+    triangles: list[Triangle] = []
+    previous = None
+    for v, u in probes:
+        for w in closing[u]:
+            if (v, w) in targets:
+                if v != previous:
+                    if len(triangles) >= _EMIT_BATCH:
+                        emit_all(sink, triangles)
+                        emitted += len(triangles)
+                        triangles = []
+                    previous = v
+                triangles.append(sorted_triangle(v, u, w))
+    emit_all(sink, triangles)
+    return emitted + len(triangles)

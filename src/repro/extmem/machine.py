@@ -4,7 +4,9 @@ Cache-aware algorithms interact with external memory exclusively through a
 :class:`Machine`:
 
 * :meth:`Machine.scan` -- sequential read of a file (or slice), charging one
-  block read per ``B`` records consumed;
+  block read per ``B`` records consumed (:meth:`Machine.scan_blocks` and
+  :meth:`Machine.scan_chunks` yield the same stream a block or up to ``M``
+  records at a time);
 * :meth:`Machine.writer` / :meth:`Machine.write_file` -- buffered sequential
   writes, charging one block write per ``B`` records produced;
 * :meth:`Machine.load` -- an explicit bulk load into internal memory, only
@@ -221,15 +223,33 @@ class Machine:
             yield read_range(position, stop)
             position = stop
 
+    def scan_chunks(self, readable: Readable) -> Iterator[list[Record]]:
+        """Sequentially read a file or slice in runs of whole blocks.
+
+        Yields lists of at most ``M`` records, each a whole number of blocks
+        except possibly the last, and charges ``ceil(len/B)`` reads per
+        list, so a full pass is charged exactly what :meth:`scan_blocks`
+        charges.  A run batches the same block stream for the host, so an
+        inner loop can filter up to ``M`` records per C-level call; like a
+        scan's block buffer it is not leased.  The charge is incurred as
+        runs are consumed.
+        """
+        block = self.block_size
+        step = (self.memory_size // block) * block
+        total = len(readable)
+        charge_read = self.stats.charge_read
+        read_range = readable._read_range
+        position = 0
+        while position < total:
+            stop = min(position + step, total)
+            charge_read(-(-(stop - position) // block))
+            yield read_range(position, stop)
+            position = stop
+
     def scan(self, readable: Readable) -> Iterator[Record]:
         """Sequentially read a file or slice, charging one read per block."""
         for records in self.scan_blocks(readable):
             yield from records
-
-    def scan_many(self, readables: Sequence[Readable]) -> Iterator[Record]:
-        """Concatenated sequential scan over several files/slices."""
-        for readable in readables:
-            yield from self.scan(readable)
 
     def scan_many_blocks(self, readables: Sequence[Readable]) -> Iterator[list[Record]]:
         """Concatenated block-granular scan over several files/slices."""

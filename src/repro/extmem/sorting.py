@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.extmem.disk import ExtFile, Readable, Record
 
@@ -239,21 +239,3 @@ def _merge_group(
                 flush_batch()
     if batch:
         flush_batch()
-
-
-def merge_sorted_scan(
-    machine: "Machine",
-    readables: Sequence[Readable],
-    key: Callable[[Record], Any] | None = None,
-) -> Iterator[Record]:
-    """Stream the merge of several already-sorted files/slices.
-
-    Charges the same I/Os as scanning each input once.  The caller is
-    responsible for keeping the number of inputs within ``M/B`` so that one
-    block buffer per input fits in memory (all call sites in this package use
-    a constant number of inputs).
-    """
-    streams = [machine.scan(readable) for readable in readables]
-    if key is None:
-        return heapq.merge(*streams)
-    return heapq.merge(*streams, key=key)

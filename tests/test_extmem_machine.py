@@ -44,19 +44,25 @@ class TestScan:
         stream.close()
         assert machine.stats.reads == 2  # records 0..9 live in the first two blocks
 
+    @pytest.mark.parametrize("memory, block", [(16, 8), (60, 8), (64, 16)])
+    @pytest.mark.parametrize("length", [0, 1, 15, 16, 17, 100])
+    def test_scan_chunks_is_a_scan_in_runs_of_whole_blocks(self, memory, block, length):
+        chunked = make_machine(memory, block)
+        view = chunked.file_from_records(list(range(length + 3))).slice(3, length + 3)
+        runs = list(chunked.scan_chunks(view))
+        assert [r for run in runs for r in run] == list(range(3, length + 3))
+        assert all(0 < len(run) <= memory for run in runs)
+        assert all(len(run) % block == 0 for run in runs[:-1])
+        by_block = make_machine(memory, block)
+        list(by_block.scan_blocks(by_block.file_from_records(list(range(length)))))
+        assert chunked.stats.snapshot() == by_block.stats.snapshot()
+
     def test_scan_slice_charges_by_slice_length(self):
         machine = make_machine(block=8)
         file = machine.file_from_records(list(range(100)))
         view = file.slice(10, 34)
         assert list(machine.scan(view)) == list(range(10, 34))
         assert machine.stats.reads == math.ceil(24 / 8)
-
-    def test_scan_many_concatenates(self):
-        machine = make_machine(block=4)
-        a = machine.file_from_records([1, 2, 3])
-        b = machine.file_from_records([4, 5])
-        assert list(machine.scan_many([a, b])) == [1, 2, 3, 4, 5]
-        assert machine.stats.reads == 2
 
 
 class TestWriting:

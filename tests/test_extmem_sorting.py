@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.analysis.bounds import sort_io
 from repro.analysis.model import MachineParams
 from repro.extmem.machine import Machine
-from repro.extmem.sorting import merge_fan_in, merge_sorted_scan
+from repro.extmem.sorting import merge_fan_in
 from repro.extmem.stats import IOStats
 
 
@@ -101,22 +101,6 @@ class TestIOCounts:
         assert merge_fan_in(64, 8) == 7
         assert merge_fan_in(16, 8) == 2
         assert merge_fan_in(8, 8) == 2
-
-
-class TestMergeSortedScan:
-    def test_merges_sorted_streams(self):
-        machine = make_machine(block=4)
-        a = machine.file_from_records([1, 4, 7])
-        b = machine.file_from_records([2, 3, 9])
-        merged = list(merge_sorted_scan(machine, [a, b]))
-        assert merged == [1, 2, 3, 4, 7, 9]
-
-    def test_merge_with_key(self):
-        machine = make_machine(block=4)
-        a = machine.file_from_records([(1, "x"), (5, "x")])
-        b = machine.file_from_records([(2, "y")])
-        merged = list(merge_sorted_scan(machine, [a, b], key=lambda r: r[0]))
-        assert [value for value, _ in merged] == [1, 2, 5]
 
 
 @settings(max_examples=30, deadline=None)

@@ -567,58 +567,58 @@ class TestShardingUnderFaults:
         return TriangleEngine(graph, params=MachineParams(memory_words=64, block_words=8))
 
     def test_faulted_sharded_run_matches_serial_bit_for_bit(self):
-        engine = self.make_engine()
-        serial = engine.run("cache_aware", seed=1, options={"num_colors": 2}, collect=True)
-        plan = FaultPlan(
-            rules=(
-                FaultRule(kind="crash", match="shard:*", rate=0.4, seed=11),
-                FaultRule(kind="exception", match="shard:*", rate=0.3, seed=12),
+        with self.make_engine() as engine:
+            serial = engine.run("cache_aware", seed=1, options={"num_colors": 2}, collect=True)
+            plan = FaultPlan(
+                rules=(
+                    FaultRule(kind="crash", match="shard:*", rate=0.4, seed=11),
+                    FaultRule(kind="exception", match="shard:*", rate=0.3, seed=12),
+                )
             )
-        )
-        # The sampled rules must actually fault a decent fraction of shards
-        # for this test to mean anything.
-        faulted_keys = [k for k in (f"shard:{i}" for i in range(8)) if plan.rule_for(k, 0)]
-        assert len(faulted_keys) >= 2
-        with watchdog(300), plan.activate():
-            sharded = engine.run("cache_aware", seed=1, shards=2, jobs=2, collect=True)
-        assert sharded.io == serial.io
-        assert sharded.phases == serial.phases
-        assert sharded.triangle_count == serial.triangle_count
-        assert sharded.triangles == serial.triangles
+            # The sampled rules must actually fault a decent fraction of shards
+            # for this test to mean anything.
+            faulted_keys = [k for k in (f"shard:{i}" for i in range(8)) if plan.rule_for(k, 0)]
+            assert len(faulted_keys) >= 2
+            with watchdog(300), plan.activate():
+                sharded = engine.run("cache_aware", seed=1, shards=2, jobs=2, collect=True)
+            assert sharded.io == serial.io
+            assert sharded.phases == serial.phases
+            assert sharded.triangle_count == serial.triangle_count
+            assert sharded.triangles == serial.triangles
 
     def test_persistent_shard_fault_raises_instead_of_hanging(self):
-        engine = self.make_engine()
-        plan = FaultPlan(rules=(FaultRule(kind="exception", match="shard:0", attempts=None),))
-        with watchdog(300), plan.activate():
-            with pytest.raises(ShardExecutionError, match="attempts"):
-                engine.run("cache_aware", seed=1, shards=2, jobs=2, max_retries=1)
+        with self.make_engine() as engine:
+            plan = FaultPlan(rules=(FaultRule(kind="exception", match="shard:0", attempts=None),))
+            with watchdog(300), plan.activate():
+                with pytest.raises(ShardExecutionError, match="attempts"):
+                    engine.run("cache_aware", seed=1, shards=2, jobs=2, max_retries=1)
 
     def test_timeout_knobs_require_shards(self):
-        engine = self.make_engine()
-        with pytest.raises(OptionsError, match="require shards"):
-            engine.run("cache_aware", task_timeout=5.0)
-        with pytest.raises(OptionsError, match="require shards"):
-            engine.count("cache_aware", max_retries=1)
+        with self.make_engine() as engine:
+            with pytest.raises(OptionsError, match="require shards"):
+                engine.run("cache_aware", task_timeout=5.0)
+            with pytest.raises(OptionsError, match="require shards"):
+                engine.count("cache_aware", max_retries=1)
 
 
 class TestStreamTypedErrors:
     def test_worker_exception_surfaces_as_stream_worker_error(self, monkeypatch):
-        engine = TriangleEngine([(1, 2), (2, 3), (1, 3)])
+        with TriangleEngine([(1, 2), (2, 3), (1, 3)]) as engine:
 
-        def exploding_run(self, *args, **kwargs):
-            raise RuntimeError("worker exploded")
+            def exploding_run(self, *args, **kwargs):
+                raise RuntimeError("worker exploded")
 
-        monkeypatch.setattr(TriangleEngine, "run", exploding_run)
-        with watchdog(60):
-            with pytest.raises(StreamWorkerError, match="cache_aware"):
-                try:
-                    list(engine.stream("cache_aware"))
-                except StreamWorkerError as error:
-                    assert isinstance(error.__cause__, RuntimeError)
-                    raise
+            monkeypatch.setattr(TriangleEngine, "run", exploding_run)
+            with watchdog(60):
+                with pytest.raises(StreamWorkerError, match="cache_aware"):
+                    try:
+                        list(engine.stream("cache_aware"))
+                    except StreamWorkerError as error:
+                        assert isinstance(error.__cause__, RuntimeError)
+                        raise
 
     def test_library_errors_keep_their_type(self):
-        engine = TriangleEngine([(1, 2), (2, 3), (1, 3)])
-        with watchdog(60):
-            with pytest.raises(OptionsError):
-                list(engine.stream("cache_aware", nonsense=1))
+        with TriangleEngine([(1, 2), (2, 3), (1, 3)]) as engine:
+            with watchdog(60):
+                with pytest.raises(OptionsError):
+                    list(engine.stream("cache_aware", nonsense=1))

@@ -42,49 +42,49 @@ class TestTriplesModeParity:
     @pytest.mark.parametrize("shards", [1, 2, 4])
     @pytest.mark.parametrize("graph_seed", [3, 5])
     def test_sharded_run_is_bit_identical_to_serial(self, shards, graph_seed):
-        engine = make_engine(graph_seed)
-        serial = engine.run("cache_aware", seed=1, options={"num_colors": shards}, collect=True)
-        sharded = engine.run("cache_aware", seed=1, shards=shards, collect=True)
-        assert sharded.io == serial.io
-        assert sharded.phases == serial.phases
-        assert sharded.triangle_count == serial.triangle_count
-        # The merge re-emits in triple order, so even the *order* matches.
-        assert sharded.triangles == serial.triangles
-        assert sharded.disk_peak_words == serial.disk_peak_words
+        with make_engine(graph_seed) as engine:
+            serial = engine.run("cache_aware", seed=1, options={"num_colors": shards}, collect=True)
+            sharded = engine.run("cache_aware", seed=1, shards=shards, collect=True)
+            assert sharded.io == serial.io
+            assert sharded.phases == serial.phases
+            assert sharded.triangle_count == serial.triangle_count
+            # The merge re-emits in triple order, so even the *order* matches.
+            assert sharded.triangles == serial.triangles
+            assert sharded.disk_peak_words == serial.disk_peak_words
 
     def test_count_only_fast_path_matches(self):
-        engine = make_engine()
-        serial = engine.run("cache_aware", seed=1, options={"num_colors": 2})
-        sharded = engine.run("cache_aware", seed=1, shards=2)
-        assert sharded.io == serial.io
-        assert sharded.triangle_count == serial.triangle_count
-        assert sharded.triangles is None
+        with make_engine() as engine:
+            serial = engine.run("cache_aware", seed=1, options={"num_colors": 2})
+            sharded = engine.run("cache_aware", seed=1, shards=2)
+            assert sharded.io == serial.io
+            assert sharded.triangle_count == serial.triangle_count
+            assert sharded.triangles is None
 
     def test_report_is_the_algorithm_report(self):
-        engine = make_engine()
-        serial = engine.run("cache_aware", seed=1, options={"num_colors": 2})
-        sharded = engine.run("cache_aware", seed=1, shards=2)
-        assert sharded.report.num_colors == 2
-        assert sharded.report.x_xi == serial.report.x_xi
-        assert sharded.report.low_degree_triangles == serial.report.low_degree_triangles
-        assert sharded.report.high_degree_triangles == serial.report.high_degree_triangles
+        with make_engine() as engine:
+            serial = engine.run("cache_aware", seed=1, options={"num_colors": 2})
+            sharded = engine.run("cache_aware", seed=1, shards=2)
+            assert sharded.report.num_colors == 2
+            assert sharded.report.x_xi == serial.report.x_xi
+            assert sharded.report.low_degree_triangles == serial.report.low_degree_triangles
+            assert sharded.report.high_degree_triangles == serial.report.high_degree_triangles
 
     def test_sharding_metadata_populated(self):
-        engine = make_engine()
-        result = engine.run("cache_aware", seed=1, shards=2)
-        meta = result.sharding
-        assert isinstance(meta, ShardingStats)
-        assert meta.num_colors == 2
-        assert meta.num_shards == len(meta.shard_seconds) == len(meta.shard_triples)
-        assert engine.run("cache_aware", seed=1).sharding is None
+        with make_engine() as engine:
+            result = engine.run("cache_aware", seed=1, shards=2)
+            meta = result.sharding
+            assert isinstance(meta, ShardingStats)
+            assert meta.num_colors == 2
+            assert meta.num_shards == len(meta.shard_seconds) == len(meta.shard_triples)
+            assert engine.run("cache_aware", seed=1).sharding is None
 
     def test_clique_triangles_survive_sharding(self):
-        engine = TriangleEngine(clique(12), params=SMALL_PARAMS)
-        serial = engine.run("cache_aware", seed=1, options={"num_colors": 2}, collect=True)
-        sharded = engine.run("cache_aware", seed=1, shards=2, collect=True)
-        assert serial.triangle_count == math.comb(12, 3)
-        assert sharded.triangles == serial.triangles
-        assert sharded.io == serial.io
+        with TriangleEngine(clique(12), params=SMALL_PARAMS) as engine:
+            serial = engine.run("cache_aware", seed=1, options={"num_colors": 2}, collect=True)
+            sharded = engine.run("cache_aware", seed=1, shards=2, collect=True)
+            assert serial.triangle_count == math.comb(12, 3)
+            assert sharded.triangles == serial.triangles
+            assert sharded.io == serial.io
 
     def test_high_degree_triangles_survive_sharding(self):
         # Two hubs joined to every leaf (and to each other) cross the
@@ -93,17 +93,17 @@ class TestTriplesModeParity:
         # that keeps each hub-hub-leaf triangle unique.
         leaves = list(range(2, 151))
         edges = [(0, 1)] + [(0, leaf) for leaf in leaves] + [(1, leaf) for leaf in leaves]
-        engine = TriangleEngine(edges, params=SMALL_PARAMS)
-        serial = engine.run("cache_aware", seed=1, options={"num_colors": 2}, collect=True)
-        sharded = engine.run("cache_aware", seed=1, shards=2, collect=True)
-        assert len(serial.report.high_degree_vertices) == 2  # the premise
-        assert serial.triangle_count == len(leaves)
-        assert sharded.triangles == serial.triangles
-        assert sharded.io == serial.io
-        # One per-vertex task per high-degree vertex, timed separately from
-        # the colour-triple shards.
-        assert sharded.sharding.hd_tasks == len(sharded.report.high_degree_vertices) > 0
-        assert len(sharded.sharding.hd_seconds) == sharded.sharding.hd_tasks
+        with TriangleEngine(edges, params=SMALL_PARAMS) as engine:
+            serial = engine.run("cache_aware", seed=1, options={"num_colors": 2}, collect=True)
+            sharded = engine.run("cache_aware", seed=1, shards=2, collect=True)
+            assert len(serial.report.high_degree_vertices) == 2  # the premise
+            assert serial.triangle_count == len(leaves)
+            assert sharded.triangles == serial.triangles
+            assert sharded.io == serial.io
+            # One per-vertex task per high-degree vertex, timed separately from
+            # the colour-triple shards.
+            assert sharded.sharding.hd_tasks == len(sharded.report.high_degree_vertices) > 0
+            assert len(sharded.sharding.hd_seconds) == sharded.sharding.hd_tasks
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_deterministic_sharded_is_bit_identical_to_serial(self, shards):
@@ -111,21 +111,20 @@ class TestTriplesModeParity:
         # executors (its greedy colouring stays on the coordinator), so its
         # sharded counters reproduce the serial run with the same colour
         # count bit for bit.
-        engine = make_engine()
-        serial = engine.run("deterministic", options={"num_colors": shards}, collect=True)
-        sharded = engine.run("deterministic", shards=shards, collect=True)
-        assert sharded.io == serial.io
-        assert sharded.phases == serial.phases
-        assert sharded.triangles == serial.triangles
-        assert sharded.disk_peak_words == serial.disk_peak_words
+        with make_engine() as engine:
+            serial = engine.run("deterministic", options={"num_colors": shards}, collect=True)
+            sharded = engine.run("deterministic", shards=shards, collect=True)
+            assert sharded.io == serial.io
+            assert sharded.phases == serial.phases
+            assert sharded.triangles == serial.triangles
+            assert sharded.disk_peak_words == serial.disk_peak_words
 
     @pytest.mark.parametrize("algorithm", ["cache_aware", "deterministic"])
     def test_each_triangle_emitted_exactly_once_across_shards(self, algorithm):
-        engine = TriangleEngine(
-            planted_triangles(25, filler_bipartite_edges=120, seed=9), params=SMALL_PARAMS
-        )
+        graph = planted_triangles(25, filler_bipartite_edges=120, seed=9)
         checker = DedupCheckingSink()  # raises on any double emission
-        result = engine.run(algorithm, seed=1, shards=4, sink=checker)
+        with TriangleEngine(graph, params=SMALL_PARAMS) as engine:
+            result = engine.run(algorithm, seed=1, shards=4, sink=checker)
         assert result.triangle_count == 25
         assert checker.count == 25
 
@@ -145,37 +144,37 @@ class TestShardedAndSerialAgree:
         shards=st.sampled_from([1, 2, 4]),
     )
     def test_property_sharded_equals_serial(self, graph_seed, shards):
-        engine = make_engine(graph_seed, edges=150)
-        serial = engine.run("cache_aware", seed=1, options={"num_colors": shards}, collect=True)
-        sharded = engine.run("cache_aware", seed=1, shards=shards, collect=True)
-        assert sharded.io == serial.io
-        assert sharded.triangles == serial.triangles
+        with make_engine(graph_seed, edges=150) as engine:
+            serial = engine.run("cache_aware", seed=1, options={"num_colors": shards}, collect=True)
+            sharded = engine.run("cache_aware", seed=1, shards=shards, collect=True)
+            assert sharded.io == serial.io
+            assert sharded.triangles == serial.triangles
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_repeated_runs_are_bit_identical(self, shards):
-        engine = make_engine()
-        first = engine.run("cache_aware", seed=1, shards=shards, collect=True)
-        second = engine.run("cache_aware", seed=1, shards=shards, collect=True)
-        assert first.io == second.io
-        assert first.triangles == second.triangles
-        assert first.phases == second.phases
+        with make_engine() as engine:
+            first = engine.run("cache_aware", seed=1, shards=shards, collect=True)
+            second = engine.run("cache_aware", seed=1, shards=shards, collect=True)
+            assert first.io == second.io
+            assert first.triangles == second.triangles
+            assert first.phases == second.phases
 
 
 class TestProcessPool:
     """Spawn-pool execution: same results regardless of jobs or finish order."""
 
     def test_triples_mode_jobs_invariant(self):
-        engine = make_engine()
-        inline = engine.run("cache_aware", seed=1, shards=2, jobs=1, collect=True)
-        pooled = engine.run("cache_aware", seed=1, shards=2, jobs=4, collect=True)
-        assert pooled.io == inline.io
-        assert pooled.phases == inline.phases
-        assert pooled.triangles == inline.triangles
-        assert pooled.sharding.jobs == 4
+        with make_engine() as engine:
+            inline = engine.run("cache_aware", seed=1, shards=2, jobs=1, collect=True)
+            pooled = engine.run("cache_aware", seed=1, shards=2, jobs=4, collect=True)
+            assert pooled.io == inline.io
+            assert pooled.phases == inline.phases
+            assert pooled.triangles == inline.triangles
+            assert pooled.sharding.jobs == 4
 
     def test_engine_count_with_sharding(self):
-        engine = TriangleEngine(clique(10), params=SMALL_PARAMS)
-        assert engine.count("cache_aware", seed=1, shards=2, jobs=2) == math.comb(10, 3)
+        with TriangleEngine(clique(10), params=SMALL_PARAMS) as engine:
+            assert engine.count("cache_aware", seed=1, shards=2, jobs=2) == math.comb(10, 3)
 
 
 class TestValidation:
@@ -185,28 +184,28 @@ class TestValidation:
         "algorithm", ["cache_oblivious", "in_memory", "hu_tao_chung", "dementiev", "bnlj"]
     )
     def test_non_machine_algorithms_reject_sharding(self, algorithm):
-        engine = make_engine()
-        with pytest.raises(OptionsError, match="not shardable"):
-            engine.run(algorithm, shards=2)
+        with make_engine() as engine:
+            with pytest.raises(OptionsError, match="not shardable"):
+                engine.run(algorithm, shards=2)
 
     def test_jobs_without_shards_rejected(self):
-        engine = make_engine()
-        with pytest.raises(OptionsError, match="requires shards"):
-            engine.run("cache_aware", jobs=4)
+        with make_engine() as engine:
+            with pytest.raises(OptionsError, match="requires shards"):
+                engine.run("cache_aware", jobs=4)
 
     @pytest.mark.parametrize("shards", [0, -1, True, 2.5, MAX_SHARDS + 1])
     def test_bad_shard_counts_rejected(self, shards):
-        engine = make_engine()
-        with pytest.raises(OptionsError):
-            engine.run("cache_aware", shards=shards)
+        with make_engine() as engine:
+            with pytest.raises(OptionsError):
+                engine.run("cache_aware", shards=shards)
 
     def test_conflicting_num_colors_rejected(self):
-        engine = make_engine()
-        with pytest.raises(OptionsError, match="num_colors"):
-            engine.run("cache_aware", shards=2, num_colors=3)
-        # An *agreeing* num_colors is fine.
-        result = engine.run("cache_aware", shards=2, num_colors=2)
-        assert result.report.num_colors == 2
+        with make_engine() as engine:
+            with pytest.raises(OptionsError, match="num_colors"):
+                engine.run("cache_aware", shards=2, num_colors=3)
+            # An *agreeing* num_colors is fine.
+            result = engine.run("cache_aware", shards=2, num_colors=2)
+            assert result.report.num_colors == 2
 
     def test_resolve_sharding_returns_none_for_serial(self):
         spec = get_algorithm("cache_aware")
@@ -250,16 +249,16 @@ class TestStreamTeardown:
                 sink.emit(3 * i, 3 * i + 1, 3 * i + 2)
 
         try:
-            engine = TriangleEngine(clique(4), params=SMALL_PARAMS)
-            stream = engine.stream("slow_emitter_test", batch_size=1)
-            assert len(next(stream)) == 1
-            started = time.perf_counter()
-            stream.close()  # worker is mid-emission with a full queue
-            closed_in = time.perf_counter() - started
-            assert closed_in < 5.0, f"stream.close() took {closed_in:.1f}s"
-            deadline = time.monotonic() + 5.0
-            while self._stream_threads() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert not self._stream_threads(), "stream worker thread outlived its consumer"
+            with TriangleEngine(clique(4), params=SMALL_PARAMS) as engine:
+                stream = engine.stream("slow_emitter_test", batch_size=1)
+                assert len(next(stream)) == 1
+                started = time.perf_counter()
+                stream.close()  # worker is mid-emission with a full queue
+                closed_in = time.perf_counter() - started
+                assert closed_in < 5.0, f"stream.close() took {closed_in:.1f}s"
+                deadline = time.monotonic() + 5.0
+                while self._stream_threads() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert not self._stream_threads(), "stream worker thread outlived its consumer"
         finally:
             unregister_algorithm("slow_emitter_test")
